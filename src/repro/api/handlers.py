@@ -20,12 +20,12 @@ exactly one miss (single-flight).
 :func:`fleet_report` and :func:`select_cheapest_fleet` are the
 spec-level entry points for callers that already hold
 :class:`~repro.serving.fleet.FleetSpec` objects (experiments,
-notebooks); they are part of the API surface, unlike the deprecated
-free functions in :mod:`repro.core.planner`.
+notebooks).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Sequence
 from functools import lru_cache
@@ -298,42 +298,51 @@ def evaluate_fleets(request: FleetRequest) -> FleetResponse:
     )
 
 
+def _cheapest(reports: Sequence, availability: float, p99_s) -> int:
+    """Index of the cheapest report serving at least ``availability``
+    of its offered stream with p99 latency at or below ``p99_s`` (when
+    set); the first declared wins ties.  Raises
+    :class:`~repro.errors.InfeasibleError` when none qualifies."""
+    best = None
+    for index, report in enumerate(reports):
+        if report.availability < availability:
+            continue
+        if p99_s is not None and not (
+            math.isfinite(report.p99) and report.p99 <= p99_s
+        ):
+            continue
+        if best is None or report.cost < reports[best].cost:
+            best = index
+    if best is None:
+        constraint = f"availability >= {availability:.3f}"
+        if p99_s is not None:
+            constraint += f" and p99 <= {p99_s:.3f}s"
+        raise InfeasibleError(
+            f"none of the {len(reports)} candidate fleets meets "
+            f"{constraint}"
+        )
+    return best
+
+
 def cheapest_fleets(request: FleetRequest) -> FleetResponse:
     """Pick the cheapest design meeting the request's availability and
     (optional) p99 constraints; every design's view is still returned
     so callers can see why the winner won."""
-    import numpy as np
-
     with get_tracer().span(
         "api.fleet.cheapest", designs=len(request.designs)
     ):
         names, specs, reports = _evaluate_request(request)
-    chosen = None
-    best_cost = None
-    for name, report in zip(names, reports):
-        if report.availability < request.availability:
-            continue
-        if request.p99_s is not None:
-            p99 = report.p99
-            if not np.isfinite(p99) or p99 > request.p99_s:
-                continue
-        if best_cost is None or report.cost < best_cost:
-            chosen, best_cost = name, report.cost
-    if chosen is None:
-        constraint = f"availability >= {request.availability:.3f}"
-        if request.p99_s is not None:
-            constraint += f" and p99 <= {request.p99_s:.3f}s"
-        raise ApiError(
-            "infeasible",
-            f"none of the {len(names)} candidate fleets meets {constraint}",
-        )
+    try:
+        chosen = _cheapest(reports, request.availability, request.p99_s)
+    except InfeasibleError as exc:
+        raise ApiError.from_exception(exc) from exc
     return FleetResponse(
         kind="cheapest",
         views=tuple(
             FleetView.from_report(name, spec, report)
             for name, spec, report in zip(names, specs, reports)
         ),
-        chosen=chosen,
+        chosen=names[chosen],
         reports=tuple(reports),
     )
 
@@ -416,18 +425,21 @@ def select_cheapest_fleet(
     """Cheapest candidate :class:`~repro.serving.fleet.FleetSpec`
     meeting availability A and p99 L; returns ``(spec, report)``.
 
-    The supported replacement for the deprecated
-    :func:`repro.core.planner.cheapest_fleet` free function.  Raises
-    :class:`ApiError` (``infeasible``) when no candidate qualifies.
+    Each candidate is evaluated under ``workload`` through the shared
+    fleet cache, so repeated queries over overlapping candidate sets
+    pay for each simulation once per process; the first declared
+    candidate wins ties.  Raises :class:`ApiError` (``infeasible``)
+    when no candidate qualifies.
     """
-    from repro.core.planner import _cheapest_fleet
-
+    candidates = tuple(candidates)
     try:
-        return _cheapest_fleet(
-            candidates, workload, availability=availability, p99_s=p99_s
-        )
+        if not candidates:
+            raise InfeasibleError("no candidate fleets to choose from")
+        reports = [fleet_report(spec, workload) for spec in candidates]
+        best = _cheapest(reports, availability, p99_s)
     except ReproError as exc:
         raise ApiError.from_exception(exc) from exc
+    return candidates[best], reports[best]
 
 
 # ----------------------------------------------------------------------

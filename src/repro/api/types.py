@@ -20,14 +20,24 @@ generator — speaks these types.  They are deliberately boring:
 The schema string ``repro.api/v1`` stamps every serialised payload;
 compatible extensions add optional fields, incompatible ones bump the
 version.
+
+One field-driven codec derives every wire type's ``to_dict`` and
+``from_dict`` from its field annotations: requests are strict,
+responses ignore unknown keys, and every type or shape error is an
+``invalid_request`` naming the dotted field path (e.g.
+``designs[0].max_batch``).  ``docs/service.md`` sets out the rules.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+import re
+import reprlib
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
+from types import NoneType, UnionType
+from typing import TYPE_CHECKING, NamedTuple, get_args, get_type_hints
 
 from repro.errors import (
     ConfigurationError,
@@ -147,62 +157,224 @@ class ApiError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# shared (de)serialisation helpers
+# the field-driven wire codec
 # ----------------------------------------------------------------------
-def _require_mapping(payload: object, what: str) -> Mapping:
-    if not isinstance(payload, Mapping):
-        raise ApiError(
-            "invalid_request",
-            f"{what} must be a JSON object, got {type(payload).__name__}",
+# Field shapes an annotation cannot express, declared on the field:
+
+#: ``tuple[tuple[str, float], ...]`` travelling as ``{key: number}``
+_AS_OBJECT = {"wire": "object"}
+#: ``tuple[tuple[float, float], ...]`` travelling as ``[[a, b], ...]``
+_AS_PAIRS = {"wire": "pairs"}
+#: a float whose non-finite values travel as ``null`` (decoded as nan)
+_NAN_AS_NULL = {"wire": "nan_null"}
+#: an optional field sent as ``null`` when unset (others are omitted)
+_NULL_SENT = {"wire": "null_sent"}
+#: an in-process field that is never serialised
+_NOT_SENT = {"wire": "not_sent"}
+
+
+def _invalid(path: str, expected: str, value: object) -> ApiError:
+    return ApiError(
+        "invalid_request",
+        f"{path} must be {expected}, got {reprlib.repr(value)}",
+    )
+
+
+def _decode_float(value: object, path: str) -> float:
+    # NaN and Infinity are not JSON numbers, though json.loads takes them
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise _invalid(path, "a finite number", value)
+
+
+def _expect(kinds, expected: str):
+    def decode(value: object, path: str):
+        if isinstance(value, kinds) and not isinstance(value, bool):
+            return value
+        raise _invalid(path, expected, value)
+
+    return decode
+
+
+_decode_int = _expect(int, "an integer")
+_decode_str = _expect(str, "a string")
+_decode_list = _expect((list, tuple), "a list")
+_decode_mapping = _expect(Mapping, "a JSON object")
+
+
+def _tuple_of(decode_item):
+    def decode(value: object, path: str) -> tuple:
+        return tuple(
+            decode_item(item, f"{path}[{i}]")
+            for i, item in enumerate(_decode_list(value, path))
         )
-    return payload
+
+    return decode
 
 
-def _check_schema(payload: Mapping, what: str) -> None:
-    schema = payload.get("schema")
-    if schema is not None and schema != API_SCHEMA:
-        raise ApiError(
-            "invalid_request",
-            f"{what} carries schema {schema!r}; this server speaks "
-            f"{API_SCHEMA}",
+def _decode_numbers_by_key(value: object, path: str) -> tuple:
+    return tuple(
+        (key, _decode_float(number, f"{path}.{key}"))
+        for key, number in _decode_mapping(value, path).items()
+    )
+
+
+def _decode_pair(value: object, path: str) -> tuple[float, float]:
+    pair = _tuple_of(_decode_float)(value, path)
+    if len(pair) != 2:
+        raise _invalid(path, "a [floor, fraction] pair", value)
+    return pair
+
+
+def _decode_nan_null(value: object, path: str) -> float:
+    return math.nan if value is None else _decode_float(value, path)
+
+
+_SCALARS = {float: _decode_float, int: _decode_int, str: _decode_str}
+
+#: metadata shape -> (encode, decode); ``None`` encodes a value as is
+_SHAPES = {
+    "object": (dict, _decode_numbers_by_key),
+    "pairs": (lambda ps: [list(p) for p in ps], _tuple_of(_decode_pair)),
+    "nan_null": (
+        lambda value: float(value) if math.isfinite(value) else None,
+        _decode_nan_null,
+    ),
+}
+
+
+class _Plan(NamedTuple):
+    """Everything the codec needs about one wire type, built once."""
+
+    cls: type
+    what: str
+    strict: bool
+    stamped: bool
+    allowed: frozenset
+    #: (name, encode or None, send null when unset) per field
+    encoders: tuple
+    #: (name, decode, required) per field
+    decoders: tuple
+
+
+_PLANS: dict[type, _Plan] = {}
+
+
+def _codec(hint) -> tuple:
+    """(encode, decode) for one annotation."""
+    if isinstance(hint, UnionType):  # X | None
+        (inner,) = (a for a in get_args(hint) if a is not NoneType)
+        encode, decode = _codec(inner)
+        return encode, lambda v, path: None if v is None else decode(v, path)
+    if getattr(hint, "__origin__", None) is tuple:  # tuple[X, ...]
+        encode, decode = _codec(get_args(hint)[0])
+        if encode is None:
+            return list, _tuple_of(decode)
+        return (lambda items: [encode(i) for i in items]), _tuple_of(decode)
+    if is_dataclass(hint):
+        plan = _PLANS[hint]
+        return partial(_encode, plan), partial(_decode, plan)
+    return None, _SCALARS[hint]
+
+
+def _encode(plan: _Plan, obj) -> dict:
+    out: dict = {"schema": API_SCHEMA} if plan.stamped else {}
+    for name, encode, send_null in plan.encoders:
+        value = getattr(obj, name)
+        if value is None:
+            if send_null:
+                out[name] = None
+        else:
+            out[name] = value if encode is None else encode(value)
+    return out
+
+
+def _decode(plan: _Plan, payload: object, path: str = ""):
+    where = path or plan.what
+    payload = _decode_mapping(payload, where)
+    if plan.stamped:
+        schema = payload.get("schema")
+        if schema is not None and schema != API_SCHEMA:
+            raise ApiError(
+                "invalid_request",
+                f"{where} carries schema {schema!r}; this server speaks "
+                f"{API_SCHEMA}",
+            )
+    if plan.strict:
+        unknown = payload.keys() - plan.allowed
+        if unknown:
+            raise ApiError(
+                "invalid_request",
+                f"{where} has unknown fields {sorted(unknown, key=str)}; "
+                f"allowed: {sorted(n for n, _, _ in plan.decoders)}",
+            )
+    kwargs = {}
+    for name, decode, required in plan.decoders:
+        if name in payload:
+            kwargs[name] = decode(
+                payload[name], f"{path}.{name}" if path else name
+            )
+        elif required:
+            raise ApiError(
+                "invalid_request",
+                f"{where} lacks the required field {name!r}",
+            )
+    return plan.cls(**kwargs)
+
+
+def _wire(*, strict: bool, stamped: bool = False):
+    """Class decorator installing the codec's ``to_dict``/``from_dict``.
+
+    ``strict`` types (requests and their parts) reject unknown keys
+    other than ``schema``; ``stamped`` types (top-level bodies) carry
+    and check ``schema``.
+    """
+
+    def install(cls):
+        hints = get_type_hints(cls)
+        encoders, decoders = [], []
+        for f in fields(cls):
+            shape = f.metadata.get("wire")
+            if shape == "not_sent":
+                continue
+            encode, decode = _SHAPES.get(shape) or _codec(hints[f.name])
+            encoders.append((f.name, encode, shape == "null_sent"))
+            required = f.default is MISSING and f.default_factory is MISSING
+            decoders.append((f.name, decode, required))
+        plan = _Plan(
+            cls=cls,
+            what=re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower(),
+            strict=strict,
+            stamped=stamped,
+            allowed=frozenset(["schema", *(n for n, _, _ in decoders)]),
+            encoders=tuple(encoders),
+            decoders=tuple(decoders),
         )
+        _PLANS[cls] = plan
 
+        def to_dict(self) -> dict:
+            """The JSON form of this object."""
+            return _encode(plan, self)
 
-def _reject_unknown_keys(
-    payload: Mapping, allowed: Sequence[str], what: str
-) -> None:
-    unknown = sorted(set(payload) - {*allowed, "schema"})
-    if unknown:
-        raise ApiError(
-            "invalid_request",
-            f"{what} has unknown fields {unknown}; "
-            f"allowed: {sorted(allowed)}",
-        )
+        def from_dict(cls, payload: object):
+            """Validate and build from a decoded JSON object."""
+            return _decode(plan, payload)
 
+        cls.to_dict = to_dict
+        cls.from_dict = classmethod(from_dict)
+        return cls
 
-def _number(value: object, what: str, *, optional: bool = False):
-    if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ApiError(
-            "invalid_request",
-            f"{what} must be a number, got {value!r}",
-        )
-    return float(value)
-
-
-def _json_float(value: float) -> float | None:
-    """JSON has no NaN/inf; non-finite floats serialise as ``null``."""
-    return float(value) if math.isfinite(value) else None
-
-
-def _from_json_float(value: object) -> float:
-    return float("nan") if value is None else float(value)
+    return install
 
 
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
+@_wire(strict=True, stamped=True)
 @dataclass(frozen=True)
 class PlanRequest:
     """One inverse planning query over the evaluation grid.
@@ -218,8 +390,8 @@ class PlanRequest:
     target: float
     model: str = "caffenet"
     metric: str = "top5"
-    deadline_h: float | None = None
-    budget: float | None = None
+    deadline_h: float | None = field(default=None, metadata=_NULL_SENT)
+    budget: float | None = field(default=None, metadata=_NULL_SENT)
     images: int = 20_000_000
     instances_per_type: int = 2
     catalog: tuple[str, ...] | None = None
@@ -275,71 +447,6 @@ class PlanRequest:
                     "invalid_request", "catalog must not be empty"
                 )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """The JSON body of this request."""
-        out: dict = {
-            "schema": API_SCHEMA,
-            "model": self.model,
-            "target": self.target,
-            "metric": self.metric,
-            "deadline_h": self.deadline_h,
-            "budget": self.budget,
-            "images": self.images,
-            "instances_per_type": self.instances_per_type,
-        }
-        if self.catalog is not None:
-            out["catalog"] = list(self.catalog)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "PlanRequest":
-        """Validate and build from a decoded JSON body."""
-        payload = _require_mapping(payload, "plan request")
-        _check_schema(payload, "plan request")
-        _reject_unknown_keys(
-            payload,
-            [f.name for f in fields(cls)],
-            "plan request",
-        )
-        if "target" not in payload:
-            raise ApiError(
-                "invalid_request", "plan request needs a 'target' field"
-            )
-        catalog = payload.get("catalog")
-        if catalog is not None:
-            if not isinstance(catalog, Sequence) or isinstance(
-                catalog, (str, bytes)
-            ):
-                raise ApiError(
-                    "invalid_request",
-                    "catalog must be a list of instance-type names",
-                )
-            catalog = tuple(str(n) for n in catalog)
-        images = payload.get("images", 20_000_000)
-        ipt = payload.get("instances_per_type", 2)
-        if isinstance(images, bool) or not isinstance(images, int):
-            raise ApiError(
-                "invalid_request", f"images must be an integer, got {images!r}"
-            )
-        if isinstance(ipt, bool) or not isinstance(ipt, int):
-            raise ApiError(
-                "invalid_request",
-                f"instances_per_type must be an integer, got {ipt!r}",
-            )
-        return cls(
-            target=_number(payload["target"], "target"),
-            model=str(payload.get("model", "caffenet")),
-            metric=str(payload.get("metric", "top5")),
-            deadline_h=_number(
-                payload.get("deadline_h"), "deadline_h", optional=True
-            ),
-            budget=_number(payload.get("budget"), "budget", optional=True),
-            images=images,
-            instances_per_type=ipt,
-            catalog=catalog,
-        )
-
     def cache_key(self) -> tuple:
         """Content identity (used by tests and memoising callers)."""
         return (
@@ -354,6 +461,7 @@ class PlanRequest:
         )
 
 
+@_wire(strict=False)
 @dataclass(frozen=True)
 class PlanPoint:
     """One grid point a planning answer names (a plain-data view)."""
@@ -382,31 +490,8 @@ class PlanPoint:
         """Completion time in hours."""
         return self.time_s / 3600.0
 
-    def to_dict(self) -> dict:
-        """The JSON form of this point."""
-        return {
-            "spec": self.spec,
-            "configuration": self.configuration,
-            "time_s": self.time_s,
-            "cost": self.cost,
-            "top1": self.top1,
-            "top5": self.top5,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "PlanPoint":
-        """Rebuild a point from its JSON form."""
-        payload = _require_mapping(payload, "plan point")
-        return cls(
-            spec=str(payload["spec"]),
-            configuration=str(payload["configuration"]),
-            time_s=float(payload["time_s"]),
-            cost=float(payload["cost"]),
-            top1=float(payload["top1"]),
-            top5=float(payload["top5"]),
-        )
-
-
+@_wire(strict=False, stamped=True)
 @dataclass(frozen=True)
 class PlanResponse:
     """The answer to one :class:`PlanRequest`.
@@ -464,32 +549,10 @@ class PlanResponse:
             )
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        """The JSON body of this response."""
-        return {
-            "schema": API_SCHEMA,
-            "kind": self.kind,
-            "request": self.request.to_dict(),
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "PlanResponse":
-        """Rebuild a response from its JSON body (client side)."""
-        payload = _require_mapping(payload, "plan response")
-        _check_schema(payload, "plan response")
-        return cls(
-            kind=str(payload["kind"]),
-            request=PlanRequest.from_dict(payload["request"]),
-            points=tuple(
-                PlanPoint.from_dict(p) for p in payload["points"]
-            ),
-        )
-
-
 # ----------------------------------------------------------------------
 # fleets
 # ----------------------------------------------------------------------
+@_wire(strict=True)
 @dataclass(frozen=True)
 class FleetReplica:
     """One replica of a declarative fleet design (JSON-able).
@@ -500,7 +563,9 @@ class FleetReplica:
 
     instance_type: str
     count: int = 1
-    spec: tuple[tuple[str, float], ...] = ()
+    spec: tuple[tuple[str, float], ...] = field(
+        default=(), metadata=_AS_OBJECT
+    )
     name: str | None = None
     weight: float | None = None
 
@@ -510,73 +575,15 @@ class FleetReplica:
                 "invalid_request",
                 f"replica count must be >= 1, got {self.count}",
             )
-        if isinstance(self.spec, Mapping):
-            object.__setattr__(
-                self,
-                "spec",
-                tuple(sorted((str(k), float(v)) for k, v in self.spec.items())),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "spec",
-                tuple(sorted((str(k), float(v)) for k, v in self.spec)),
-            )
-
-    def to_dict(self) -> dict:
-        """The JSON form of this replica."""
-        out: dict = {
-            "instance_type": self.instance_type,
-            "count": self.count,
-            "spec": {k: v for k, v in self.spec},
-        }
-        if self.name is not None:
-            out["name"] = self.name
-        if self.weight is not None:
-            out["weight"] = self.weight
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetReplica":
-        """Validate and build from a decoded JSON object."""
-        payload = _require_mapping(payload, "fleet replica")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet replica"
+        spec = (
+            self.spec.items() if isinstance(self.spec, Mapping) else self.spec
         )
-        if "instance_type" not in payload:
-            raise ApiError(
-                "invalid_request",
-                "fleet replica needs an 'instance_type' field",
-            )
-        spec = payload.get("spec", ())
-        if not isinstance(spec, (Mapping, Sequence)) or isinstance(
-            spec, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "replica spec must be a {layer: ratio} object",
-            )
-        count = payload.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ApiError(
-                "invalid_request",
-                f"replica count must be an integer, got {count!r}",
-            )
-        return cls(
-            instance_type=str(payload["instance_type"]),
-            count=count,
-            spec=spec if isinstance(spec, Mapping) else tuple(spec),
-            name=(
-                None
-                if payload.get("name") is None
-                else str(payload["name"])
-            ),
-            weight=_number(
-                payload.get("weight"), "replica weight", optional=True
-            ),
+        object.__setattr__(
+            self, "spec", tuple(sorted((str(k), float(v)) for k, v in spec))
         )
 
 
+@_wire(strict=True)
 @dataclass(frozen=True)
 class FleetDesign:
     """A whole candidate fleet: replicas + routing + admission.
@@ -606,66 +613,8 @@ class FleetDesign:
         """This design's display name (``fleet-<n>`` when unnamed)."""
         return self.name if self.name is not None else f"fleet-{index + 1}"
 
-    def to_dict(self) -> dict:
-        """The JSON form of this design."""
-        out: dict = {
-            "replicas": [r.to_dict() for r in self.replicas],
-            "routing": self.routing,
-            "max_batch": self.max_batch,
-            "max_wait_s": self.max_wait_s,
-        }
-        if self.name is not None:
-            out["name"] = self.name
-        if self.admission_rate_per_s is not None:
-            out["admission_rate_per_s"] = self.admission_rate_per_s
-            out["admission_burst"] = self.admission_burst
-        if self.queue_limit is not None:
-            out["queue_limit"] = self.queue_limit
-        return out
 
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetDesign":
-        """Validate and build from a decoded JSON object."""
-        payload = _require_mapping(payload, "fleet design")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet design"
-        )
-        replicas = payload.get("replicas")
-        if not isinstance(replicas, Sequence) or isinstance(
-            replicas, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "fleet design needs a 'replicas' list",
-            )
-        burst = payload.get("admission_burst", 32)
-        if isinstance(burst, bool) or not isinstance(burst, int):
-            raise ApiError(
-                "invalid_request",
-                f"admission_burst must be an integer, got {burst!r}",
-            )
-        return cls(
-            replicas=tuple(FleetReplica.from_dict(r) for r in replicas),
-            name=(
-                None
-                if payload.get("name") is None
-                else str(payload["name"])
-            ),
-            routing=str(payload.get("routing", "round-robin")),
-            admission_rate_per_s=_number(
-                payload.get("admission_rate_per_s"),
-                "admission_rate_per_s",
-                optional=True,
-            ),
-            admission_burst=burst,
-            queue_limit=_number(
-                payload.get("queue_limit"), "queue_limit", optional=True
-            ),
-            max_batch=int(payload.get("max_batch", 32)),
-            max_wait_s=float(payload.get("max_wait_s", 0.05)),
-        )
-
-
+@_wire(strict=True, stamped=True)
 @dataclass(frozen=True)
 class FleetRequest:
     """Evaluate (or pick the cheapest of) candidate fleet designs.
@@ -682,9 +631,11 @@ class FleetRequest:
     model: str = "caffenet"
     arrival: str = "poisson"
     seed: int = 0
-    floors: tuple[tuple[float, float], ...] = ()
+    floors: tuple[tuple[float, float], ...] = field(
+        default=(), metadata=_AS_PAIRS
+    )
     availability: float = 0.999
-    p99_s: float | None = None
+    p99_s: float | None = field(default=None, metadata=_NULL_SENT)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "designs", tuple(self.designs))
@@ -708,6 +659,10 @@ class FleetRequest:
                 "invalid_request",
                 "workload rate and duration must be positive",
             )
+        if self.seed < 0:
+            raise ApiError(
+                "invalid_request", f"seed must be >= 0, got {self.seed}"
+            )
 
     def workload(self) -> "FleetWorkload":
         """The reproducible offered load this request describes."""
@@ -724,79 +679,8 @@ class FleetRequest:
         except ReproError as exc:
             raise ApiError.from_exception(exc) from exc
 
-    def to_dict(self) -> dict:
-        """The JSON body of this request."""
-        return {
-            "schema": API_SCHEMA,
-            "model": self.model,
-            "designs": [d.to_dict() for d in self.designs],
-            "rate_per_s": self.rate_per_s,
-            "duration_s": self.duration_s,
-            "arrival": self.arrival,
-            "seed": self.seed,
-            "floors": [list(f) for f in self.floors],
-            "availability": self.availability,
-            "p99_s": self.p99_s,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetRequest":
-        """Validate and build from a decoded JSON body."""
-        payload = _require_mapping(payload, "fleet request")
-        _check_schema(payload, "fleet request")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet request"
-        )
-        designs = payload.get("designs")
-        if not isinstance(designs, Sequence) or isinstance(
-            designs, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request", "fleet request needs a 'designs' list"
-            )
-        for name in ("rate_per_s", "duration_s"):
-            if name not in payload:
-                raise ApiError(
-                    "invalid_request",
-                    f"fleet request needs a {name!r} field",
-                )
-        floors = payload.get("floors", ())
-        if not isinstance(floors, Sequence) or isinstance(
-            floors, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "floors must be a list of [floor, fraction] pairs",
-            )
-        seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ApiError(
-                "invalid_request", f"seed must be an integer, got {seed!r}"
-            )
-        try:
-            floor_pairs = tuple(
-                (float(f), float(w)) for f, w in floors
-            )
-        except (TypeError, ValueError):
-            raise ApiError(
-                "invalid_request",
-                "floors must be a list of [floor, fraction] pairs",
-            ) from None
-        return cls(
-            designs=tuple(FleetDesign.from_dict(d) for d in designs),
-            rate_per_s=_number(payload["rate_per_s"], "rate_per_s"),
-            duration_s=_number(payload["duration_s"], "duration_s"),
-            model=str(payload.get("model", "caffenet")),
-            arrival=str(payload.get("arrival", "poisson")),
-            seed=seed,
-            floors=floor_pairs,
-            availability=_number(
-                payload.get("availability", 0.999), "availability"
-            ),
-            p99_s=_number(payload.get("p99_s"), "p99_s", optional=True),
-        )
-
-
+@_wire(strict=False)
 @dataclass(frozen=True)
 class ReplicaView:
     """One replica's slice of a fleet evaluation (plain data)."""
@@ -805,33 +689,11 @@ class ReplicaView:
     served: int
     dropped: int
     cost: float
-    p99_s: float
+    p99_s: float = field(metadata=_NAN_AS_NULL)
     top5: float
 
-    def to_dict(self) -> dict:
-        """The JSON form of this view."""
-        return {
-            "name": self.name,
-            "served": self.served,
-            "dropped": self.dropped,
-            "cost": self.cost,
-            "p99_s": _json_float(self.p99_s),
-            "top5": self.top5,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ReplicaView":
-        """Rebuild a view from its JSON form."""
-        return cls(
-            name=str(payload["name"]),
-            served=int(payload["served"]),
-            dropped=int(payload["dropped"]),
-            cost=float(payload["cost"]),
-            p99_s=_from_json_float(payload.get("p99_s")),
-            top5=float(payload["top5"]),
-        )
-
-
+@_wire(strict=False)
 @dataclass(frozen=True)
 class FleetView:
     """One design's fleet-wide outcome (plain data)."""
@@ -845,8 +707,8 @@ class FleetView:
     goodput: float
     cost: float
     hourly_rate: float
-    p50_s: float
-    p99_s: float
+    p50_s: float = field(metadata=_NAN_AS_NULL)
+    p99_s: float = field(metadata=_NAN_AS_NULL)
     replicas: tuple[ReplicaView, ...]
 
     @classmethod
@@ -887,45 +749,8 @@ class FleetView:
             replicas=tuple(replicas),
         )
 
-    def to_dict(self) -> dict:
-        """The JSON form of this view."""
-        return {
-            "name": self.name,
-            "offered": self.offered,
-            "shed": self.shed,
-            "served": self.served,
-            "dropped": self.dropped,
-            "availability": self.availability,
-            "goodput": self.goodput,
-            "cost": self.cost,
-            "hourly_rate": self.hourly_rate,
-            "p50_s": _json_float(self.p50_s),
-            "p99_s": _json_float(self.p99_s),
-            "replicas": [r.to_dict() for r in self.replicas],
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "FleetView":
-        """Rebuild a view from its JSON form."""
-        payload = _require_mapping(payload, "fleet view")
-        return cls(
-            name=str(payload["name"]),
-            offered=int(payload["offered"]),
-            shed=int(payload["shed"]),
-            served=int(payload["served"]),
-            dropped=int(payload["dropped"]),
-            availability=float(payload["availability"]),
-            goodput=float(payload["goodput"]),
-            cost=float(payload["cost"]),
-            hourly_rate=float(payload["hourly_rate"]),
-            p50_s=_from_json_float(payload.get("p50_s")),
-            p99_s=_from_json_float(payload.get("p99_s")),
-            replicas=tuple(
-                ReplicaView.from_dict(r) for r in payload["replicas"]
-            ),
-        )
-
-
+@_wire(strict=False, stamped=True)
 @dataclass(frozen=True)
 class FleetResponse:
     """The answer to one :class:`FleetRequest`.
@@ -941,7 +766,7 @@ class FleetResponse:
     views: tuple[FleetView, ...]
     chosen: str | None = None
     reports: tuple = field(
-        default=(), repr=False, compare=False
+        default=(), repr=False, compare=False, metadata=_NOT_SENT
     )
 
     def view(self, name: str) -> FleetView:
@@ -950,31 +775,3 @@ class FleetResponse:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        """The JSON body of this response (rich reports excluded)."""
-        out: dict = {
-            "schema": API_SCHEMA,
-            "kind": self.kind,
-            "views": [v.to_dict() for v in self.views],
-        }
-        if self.chosen is not None:
-            out["chosen"] = self.chosen
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetResponse":
-        """Rebuild a response from its JSON body (client side)."""
-        payload = _require_mapping(payload, "fleet response")
-        _check_schema(payload, "fleet response")
-        return cls(
-            kind=str(payload["kind"]),
-            views=tuple(
-                FleetView.from_dict(v) for v in payload["views"]
-            ),
-            chosen=(
-                None
-                if payload.get("chosen") is None
-                else str(payload["chosen"])
-            ),
-        )

@@ -14,7 +14,6 @@ repeated grid rows cost one model evaluation each.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.calibration.accuracy_model import AccuracyModel, AccuracyPair
@@ -127,28 +126,3 @@ class CloudSimulator:
             cost=cost,
             accuracy=self.accuracy(spec),
         )
-
-    def sweep(
-        self,
-        specs,
-        configurations,
-        images: int,
-    ) -> list[SimulationResult]:
-        """Deprecated: cross product of degrees of pruning x configurations.
-
-        Superseded by :func:`repro.core.evalspace.evaluate`, which
-        memoizes and caches whole-grid evaluations.  This shim delegates
-        there and keeps the historical return shape.
-        """
-        warnings.warn(
-            "CloudSimulator.sweep is deprecated; build a "
-            "repro.core.evalspace.SpaceSpec and call evaluate() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.evalspace import SpaceSpec, evaluate
-
-        space = evaluate(
-            SpaceSpec.from_simulator(self, specs, configurations, images)
-        )
-        return list(space.results)

@@ -5,7 +5,8 @@ configuration set down to the configurations for which no other feasible
 configuration has both higher accuracy and lower time (or cost).  That is
 a classic 2-D Pareto front with one maximised dimension (accuracy) and
 one minimised (time or cost); :func:`pareto_indices` computes it in
-O(n log n) with a sort + running minimum, fully vectorised.
+O(n log n) with one sort and an exclusive running minimum, both numpy
+kernels.
 """
 
 from __future__ import annotations
@@ -45,18 +46,15 @@ def pareto_indices(
         raise ValueError("accuracies and objectives must be equal-length 1-D")
     if acc.size == 0:
         return np.empty(0, dtype=np.intp)
-    # sort by accuracy desc, then objective asc, then index asc (stability)
-    order = np.lexsort((np.arange(acc.size), obj, -acc))
-    keep: list[int] = []
-    best_obj = np.inf
-    for idx in order:
-        # every earlier point in the scan has accuracy >= this one (ties
-        # ordered by objective), so this point survives iff it strictly
-        # improves the running-best objective.
-        if obj[idx] < best_obj:
-            keep.append(int(idx))
-            best_obj = obj[idx]
-    return np.asarray(keep, dtype=np.intp)
+    # accuracy desc, then objective asc; lexsort is stable, so equal
+    # points keep index order and the first occurrence survives
+    order = np.lexsort((obj, -acc))
+    s = obj[order]
+    # every earlier point in this order has accuracy >= the current one,
+    # so a point survives iff it beats the best objective before it;
+    # fmin skips NaN, matching a scan that never lets NaN win
+    best = np.fmin.accumulate(np.concatenate(([np.inf], s[:-1])))
+    return order[s < best]
 
 
 def pareto_front(

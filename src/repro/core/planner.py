@@ -1,32 +1,23 @@
 """Inverse planning queries over the configuration space.
 
 The paper answers "what fits inside (T', C')?"; a consumer budgeting a
-project asks the inverse questions:
+project asks the inverse questions, answered here for
+:func:`repro.api.plan`:
 
-* :func:`min_budget_for` — the cheapest money that buys a target
-  accuracy within a deadline;
-* :func:`min_deadline_for` — the shortest completion time a budget can
-  buy at a target accuracy;
-* :func:`iso_accuracy_frontier` — the (deadline, budget) trade curve
-  for one accuracy target: every point is a different Pareto-optimal
-  configuration for the same result quality.
+* the cheapest money that buys a target accuracy within a deadline;
+* the shortest completion time a budget can buy at a target accuracy;
+* the (deadline, budget) trade curve for one accuracy target: every
+  point is a different Pareto-optimal configuration for the same
+  result quality.
 
 All three are vectorised selections over one
 :class:`~repro.core.evalspace.EvaluatedSpace`;
 :class:`PlanningSpace` is a thin (space, metric) view whose queries run
 on the space's numpy columns.
-
-:func:`cheapest_fleet` extends the same inverse-query discipline to the
-*serving* axis: candidate routed fleets
-(:class:`~repro.serving.fleet.FleetSpec`) are evaluated through the
-content-keyed fleet cache and filtered by availability and tail
-latency, exactly the way the batch queries filter the evaluation
-space.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,13 +30,7 @@ from repro.core.pareto import pareto_indices
 from repro.errors import InfeasibleError
 from repro.pruning.schedule import DegreeOfPruning
 
-__all__ = [
-    "PlanningSpace",
-    "cheapest_fleet",
-    "min_budget_for",
-    "min_deadline_for",
-    "iso_accuracy_frontier",
-]
+__all__ = ["PlanningSpace"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,107 +126,3 @@ def _iso_accuracy_frontier(
         -space.space.time_s[idx], space.space.cost[idx]
     )
     return [space.results[i] for i in idx[local]]
-
-
-def _cheapest_fleet(
-    candidates: Sequence,
-    workload,
-    *,
-    availability: float = 0.999,
-    p99_s: float | None = None,
-):
-    """Cheapest candidate fleet meeting availability A and p99 L.
-
-    Each candidate (a :class:`~repro.serving.fleet.FleetSpec`) is
-    evaluated under ``workload`` through the content-keyed fleet cache
-    — repeated planner queries over overlapping candidate sets pay for
-    each simulation once per process.  Feasible fleets serve at least
-    ``availability`` of the offered stream and (when ``p99_s`` is set)
-    keep fleet-wide p99 latency at or below it; the cheapest by run
-    cost wins, declaration order breaking ties.  Returns
-    ``(spec, report)``; raises
-    :class:`~repro.errors.InfeasibleError` when no candidate
-    qualifies.
-    """
-    from repro.serving.fleet import evaluate_fleet
-
-    candidates = tuple(candidates)
-    if not candidates:
-        raise InfeasibleError("no candidate fleets to choose from")
-    best: tuple | None = None
-    for spec in candidates:
-        report = evaluate_fleet(spec, workload)
-        if report.availability < availability:
-            continue
-        if p99_s is not None:
-            p99 = report.p99
-            if not np.isfinite(p99) or p99 > p99_s:
-                continue
-        if best is None or report.cost < best[1].cost:
-            best = (spec, report)
-    if best is None:
-        constraint = f"availability >= {availability:.3f}"
-        if p99_s is not None:
-            constraint += f" and p99 <= {p99_s:.3f}s"
-        raise InfeasibleError(
-            f"none of the {len(candidates)} candidate fleets meets "
-            f"{constraint}"
-        )
-    return best
-
-
-# ----------------------------------------------------------------------
-# deprecated free-function shims
-# ----------------------------------------------------------------------
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.core.planner.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def min_budget_for(
-    space: PlanningSpace,
-    target_accuracy: float,
-    deadline_s: float,
-) -> SimulationResult:
-    """Deprecated shim for :func:`repro.api.plan` (``deadline_h`` set).
-
-    Delegates unchanged; new code builds a
-    :class:`repro.api.PlanRequest` instead.
-    """
-    _deprecated("min_budget_for", "repro.api.plan")
-    return _min_budget_for(space, target_accuracy, deadline_s)
-
-
-def min_deadline_for(
-    space: PlanningSpace,
-    target_accuracy: float,
-    budget: float,
-) -> SimulationResult:
-    """Deprecated shim for :func:`repro.api.plan` (``budget`` set)."""
-    _deprecated("min_deadline_for", "repro.api.plan")
-    return _min_deadline_for(space, target_accuracy, budget)
-
-
-def iso_accuracy_frontier(
-    space: PlanningSpace, target_accuracy: float
-) -> list[SimulationResult]:
-    """Deprecated shim for :func:`repro.api.plan` (no constraints)."""
-    _deprecated("iso_accuracy_frontier", "repro.api.plan")
-    return _iso_accuracy_frontier(space, target_accuracy)
-
-
-def cheapest_fleet(
-    candidates: Sequence,
-    workload,
-    *,
-    availability: float = 0.999,
-    p99_s: float | None = None,
-):
-    """Deprecated shim for :func:`repro.api.select_cheapest_fleet`."""
-    _deprecated("cheapest_fleet", "repro.api.select_cheapest_fleet")
-    return _cheapest_fleet(
-        candidates, workload, availability=availability, p99_s=p99_s
-    )

@@ -14,7 +14,9 @@ the socket entirely:
   installs a dedicated metrics registry for its lifetime (so
   ``GET /v1/metrics`` scrapes only service traffic), and runs in a
   daemon thread (``start()``/``close()``, or use it as a context
-  manager).
+  manager).  Its socket edge refuses an invalid ``Content-Length``
+  (400) or a body over :data:`MAX_BODY_BYTES` (413) without reading
+  it, and sends with ``TCP_NODELAY`` set.
 
 Routes (all bodies JSON, schema ``repro.api/v1``):
 
@@ -69,9 +71,16 @@ from repro.obs import (
 from repro.obs.context import TRACE_HEADER, TraceContext, activate, new_trace_id
 from repro.obs.timeseries import AnomalyPolicy, TelemetryPipeline
 
-__all__ = ["PlanningServer", "PlanningService", "ServiceMonitor"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "PlanningServer",
+    "PlanningService",
+    "ServiceMonitor",
+]
 
 _JSON = "application/json"
+#: largest request body the HTTP edge reads; a longer one gets 413
+MAX_BODY_BYTES = 1 << 20
 _OPENMETRICS = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -383,19 +392,52 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-planning/1"
     protocol_version = "HTTP/1.1"
+    # headers and body leave as two writes; with Nagle's algorithm on,
+    # a kept-alive response would wait for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def _handle(self) -> None:
+        raw = self.headers.get("Content-Length", "0").strip()
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.server.service.dispatch(
-            self.command, self.path, body, headers=self.headers
-        )
+            length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        except ValueError:  # more digits than int() parses: far too long
+            length = MAX_BODY_BYTES + 1
+        if length < 0:
+            self._refuse(
+                ApiError(
+                    "invalid_request", f"invalid Content-Length {raw[:20]!r}"
+                )
+            )
+        elif length > MAX_BODY_BYTES:
+            self._refuse(
+                ApiError(
+                    "invalid_request",
+                    f"request body exceeds the {MAX_BODY_BYTES}-byte limit",
+                    http_status=413,
+                )
+            )
+        else:
+            body = self.rfile.read(length) if length else b""
+            self._reply(
+                *self.server.service.dispatch(
+                    self.command, self.path, body, headers=self.headers
+                )
+            )
+
+    def _refuse(self, exc: ApiError) -> None:
+        """Answer before reading the body, then close the connection
+        (the unread body would otherwise be parsed as a request)."""
+        payload = json.dumps(exc.to_dict(), sort_keys=True).encode("utf-8")
+        self._reply(exc.http_status, _JSON, payload, close=True)
+
+    def _reply(
+        self, status: int, content_type: str, payload: bytes, close=False
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -19,7 +19,7 @@ a fleet it has already measured:
   evaluation-space cache).
 
 The planner query itself lives in
-:func:`repro.core.planner.cheapest_fleet`.
+:func:`repro.api.select_cheapest_fleet`.
 """
 
 from __future__ import annotations

@@ -1,20 +1,27 @@
 """The versioned request/response API surface (``repro.api``).
 
 Covers the v1 contract: request validation with stable error codes,
-lossless ``to_dict``/``from_dict`` round-trips, byte-identical parity
-between ``PlanResponse.render()`` and the historical ``repro plan``
-CLI output, the deprecation shims, and the source-tree grep gate that
-keeps internal callers off the deprecated free functions.
+lossless ``to_dict``/``from_dict`` round-trips, the wire codec's
+field-path errors for malformed bodies, byte-identical parity between
+``PlanResponse.render()`` and the historical ``repro plan`` CLI
+output, and the source-tree grep gate that keeps callers off the
+removed planner free functions.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import math
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.api import (
@@ -24,8 +31,11 @@ from repro.api import (
     FleetDesign,
     FleetReplica,
     FleetRequest,
+    FleetResponse,
+    FleetView,
     PlanRequest,
     PlanResponse,
+    ReplicaView,
 )
 from repro.cli import main
 from repro.errors import (
@@ -34,6 +44,7 @@ from repro.errors import (
     ReproError,
     UnknownArtefactError,
 )
+from repro.service import PlanningService
 
 #: a small grid (two P2 types, 2 instances each) keeping API tests fast
 SMALL = {"catalog": ("p2.16xlarge", "p2.8xlarge"), "instances_per_type": 2}
@@ -308,6 +319,261 @@ class TestFleetRequest:
         assert exc.value.code == "infeasible"
 
 
+#: valid bodies the wrong-type cases and the fuzz start from
+PLAN_BODY = {"target": 78.0, "catalog": ["p2.xlarge"], "instances_per_type": 1}
+FLEET_BODY = {
+    "designs": [{"replicas": [{"instance_type": "p2.xlarge"}]}],
+    "rate_per_s": 10.0,
+    "duration_s": 5.0,
+    "floors": [[0.0, 1.0]],
+}
+_ROUTES = {"plan": "/v1/plan", "fleet": "/v1/fleet/evaluate"}
+_DESIGN = ("designs", 0)
+_REPLICA = ("designs", 0, "replicas", 0)
+
+#: (body, key path to the field, wrong-typed value, path the error names)
+WRONG_TYPES = [
+    ("plan", ("target",), "78", "target"),
+    ("plan", ("target",), True, "target"),
+    ("plan", ("model",), 5, "model"),
+    ("plan", ("metric",), ["top5"], "metric"),
+    ("plan", ("deadline_h",), "6", "deadline_h"),
+    ("plan", ("deadline_h",), True, "deadline_h"),
+    ("plan", ("budget",), "100", "budget"),
+    ("plan", ("budget",), False, "budget"),
+    ("plan", ("images",), "1000", "images"),
+    ("plan", ("images",), True, "images"),
+    ("plan", ("images",), 2.5, "images"),
+    ("plan", ("instances_per_type",), "2", "instances_per_type"),
+    ("plan", ("instances_per_type",), 1.0, "instances_per_type"),
+    ("plan", ("catalog",), "p2.xlarge", "catalog"),
+    ("plan", ("catalog",), {"p2.xlarge": 1}, "catalog"),
+    ("plan", ("catalog", 0), 5, "catalog[0]"),
+    ("fleet", ("designs",), {"replicas": []}, "designs"),
+    ("fleet", ("designs",), 5, "designs"),
+    ("fleet", ("designs", 0), "solo", "designs[0]"),
+    ("fleet", ("rate_per_s",), "10", "rate_per_s"),
+    ("fleet", ("rate_per_s",), True, "rate_per_s"),
+    ("fleet", ("duration_s",), "5", "duration_s"),
+    ("fleet", ("duration_s",), False, "duration_s"),
+    ("fleet", ("model",), 5, "model"),
+    ("fleet", ("arrival",), 5, "arrival"),
+    ("fleet", ("seed",), "0", "seed"),
+    ("fleet", ("seed",), True, "seed"),
+    ("fleet", ("seed",), 0.5, "seed"),
+    ("fleet", ("floors",), 3, "floors"),
+    ("fleet", ("floors",), {"0": 1.0}, "floors"),
+    ("fleet", ("floors",), [[0.0, "x"]], "floors[0][1]"),
+    ("fleet", ("floors",), [[0.0, 1.0, 2.0]], "floors[0]"),
+    ("fleet", ("floors",), [1.0], "floors[0]"),
+    ("fleet", ("availability",), "0.9", "availability"),
+    ("fleet", ("availability",), True, "availability"),
+    ("fleet", ("p99_s",), "1", "p99_s"),
+    ("fleet", ("p99_s",), True, "p99_s"),
+    ("fleet", _DESIGN + ("replicas",), 5, "designs[0].replicas"),
+    ("fleet", _DESIGN + ("replicas",), {"instance_type": "p2.xlarge"},
+     "designs[0].replicas"),
+    ("fleet", _DESIGN + ("name",), 5, "designs[0].name"),
+    ("fleet", _DESIGN + ("routing",), 5, "designs[0].routing"),
+    ("fleet", _DESIGN + ("admission_rate_per_s",), "x",
+     "designs[0].admission_rate_per_s"),
+    ("fleet", _DESIGN + ("admission_rate_per_s",), True,
+     "designs[0].admission_rate_per_s"),
+    ("fleet", _DESIGN + ("admission_burst",), "x",
+     "designs[0].admission_burst"),
+    ("fleet", _DESIGN + ("admission_burst",), 2.5,
+     "designs[0].admission_burst"),
+    ("fleet", _DESIGN + ("queue_limit",), "x", "designs[0].queue_limit"),
+    ("fleet", _DESIGN + ("queue_limit",), True, "designs[0].queue_limit"),
+    ("fleet", _DESIGN + ("max_batch",), "x", "designs[0].max_batch"),
+    ("fleet", _DESIGN + ("max_batch",), True, "designs[0].max_batch"),
+    ("fleet", _DESIGN + ("max_batch",), 2.5, "designs[0].max_batch"),
+    ("fleet", _DESIGN + ("max_wait_s",), "x", "designs[0].max_wait_s"),
+    ("fleet", _DESIGN + ("max_wait_s",), True, "designs[0].max_wait_s"),
+    ("fleet", _REPLICA, 5, "designs[0].replicas[0]"),
+    ("fleet", _REPLICA + ("instance_type",), 5,
+     "designs[0].replicas[0].instance_type"),
+    ("fleet", _REPLICA + ("count",), "2", "designs[0].replicas[0].count"),
+    ("fleet", _REPLICA + ("count",), True, "designs[0].replicas[0].count"),
+    ("fleet", _REPLICA + ("count",), 1.5, "designs[0].replicas[0].count"),
+    ("fleet", _REPLICA + ("spec",), [1], "designs[0].replicas[0].spec"),
+    ("fleet", _REPLICA + ("spec",), "conv1", "designs[0].replicas[0].spec"),
+    ("fleet", _REPLICA + ("spec",), {"conv1": "x"},
+     "designs[0].replicas[0].spec.conv1"),
+    ("fleet", _REPLICA + ("spec",), {"conv1": True},
+     "designs[0].replicas[0].spec.conv1"),
+    ("fleet", _REPLICA + ("name",), 5, "designs[0].replicas[0].name"),
+    ("fleet", _REPLICA + ("weight",), "x", "designs[0].replicas[0].weight"),
+    ("fleet", _REPLICA + ("weight",), True, "designs[0].replicas[0].weight"),
+]
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=8), inner, max_size=3
+    )
+
+
+#: any JSON value, including NaN, infinities and huge integers
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+def _with(body: dict, keys: tuple, value) -> dict:
+    """A deep copy of ``body`` with the field at ``keys`` set."""
+    body = copy.deepcopy(body)
+    target = body
+    for key in keys[:-1]:
+        target = (
+            target.setdefault(key, {})
+            if isinstance(target, dict)
+            else target[key]
+        )
+    target[keys[-1]] = value
+    return body
+
+
+def _post(service, kind: str, body) -> tuple[int, dict]:
+    status, _, payload = service.dispatch(
+        "POST", _ROUTES[kind], json.dumps(body).encode("utf-8")
+    )
+    return status, json.loads(payload)
+
+
+class TestWireCodec:
+    @pytest.mark.parametrize(
+        "kind, keys, value, path",
+        WRONG_TYPES,
+        ids=[f"{c[3]}={c[2]!r}" for c in WRONG_TYPES],
+    )
+    def test_wrong_typed_field_is_400_naming_it(self, kind, keys, value, path):
+        base = PLAN_BODY if kind == "plan" else FLEET_BODY
+        status, payload = _post(
+            PlanningService(), kind, _with(base, keys, value)
+        )
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_request"
+        message = payload["error"]["message"]
+        assert message.startswith(f"{path} must be "), message
+
+    def test_every_request_field_has_a_wrong_type_case(self):
+        covered = {
+            PlanRequest: {k[-1] for c, k, _, _ in WRONG_TYPES if c == "plan"},
+            FleetRequest: {k[0] for c, k, _, _ in WRONG_TYPES if c == "fleet"},
+            FleetDesign: {
+                k[2] for c, k, _, _ in WRONG_TYPES if k[:2] == _DESIGN
+                and len(k) == 3
+            },
+            FleetReplica: {
+                k[4] for c, k, _, _ in WRONG_TYPES if k[:4] == _REPLICA
+                and len(k) == 5
+            },
+        }
+        for cls, names in covered.items():
+            assert {f.name for f in dataclasses.fields(cls)} <= names, cls
+
+    @pytest.mark.parametrize(
+        "kind, keys, missing",
+        [
+            ("plan", (), "target"),
+            ("fleet", (), "rate_per_s"),
+            ("fleet", _DESIGN, "replicas"),
+            ("fleet", _REPLICA, "instance_type"),
+        ],
+    )
+    def test_missing_required_field_is_400(self, kind, keys, missing):
+        body = copy.deepcopy(PLAN_BODY if kind == "plan" else FLEET_BODY)
+        target = body
+        for key in keys:
+            target = target[key]
+        target.pop(missing)
+        status, payload = _post(PlanningService(), kind, body)
+        assert status == 400
+        assert repr(missing) in payload["error"]["message"]
+
+    def test_non_finite_numbers_are_400(self):
+        for value in (math.nan, math.inf, -math.inf):
+            body = _with(FLEET_BODY, ("rate_per_s",), value)
+            status, payload = _post(PlanningService(), "fleet", body)
+            assert status == 400
+            assert "rate_per_s" in payload["error"]["message"]
+
+    def test_nested_unknown_key_rejected_with_its_path(self):
+        with pytest.raises(ApiError, match=r"designs\[0\] has unknown"):
+            FleetRequest.from_dict(
+                _with(FLEET_BODY, _DESIGN + ("replica",), [])
+            )
+
+    def test_responses_ignore_unknown_keys_and_nan_travels_as_null(self):
+        view = FleetView(
+            name="solo", offered=3, shed=0, served=0, dropped=3,
+            availability=0.0, goodput=0.0, cost=1.0, hourly_rate=0.9,
+            p50_s=math.nan, p99_s=math.inf,
+            replicas=(
+                ReplicaView("r1", 0, 3, 1.0, math.nan, 80.0),
+            ),
+        )
+        response = FleetResponse("evaluate", (view,), reports=("rich",))
+        body = json.loads(json.dumps(response.to_dict()))
+        assert "reports" not in body and "chosen" not in body
+        assert body["views"][0]["p50_s"] is None
+        assert body["views"][0]["p99_s"] is None
+        body["added_later"] = 1
+        body["views"][0]["replicas"][0]["added_later"] = 1
+        restored = FleetResponse.from_dict(body)
+        assert math.isnan(restored.views[0].p99_s)
+        assert math.isnan(restored.views[0].replicas[0].p99_s)
+        assert restored.views[0].served == 0
+
+    def test_unset_optionals_are_omitted_except_the_null_sent_ones(self):
+        body = PlanRequest(target=78.0).to_dict()
+        assert body["deadline_h"] is None and body["budget"] is None
+        assert "catalog" not in body
+        fleet = FleetRequest.from_dict(FLEET_BODY).to_dict()
+        assert fleet["p99_s"] is None
+        assert "name" not in fleet["designs"][0]
+        assert "queue_limit" not in fleet["designs"][0]
+        assert "weight" not in fleet["designs"][0]["replicas"][0]
+        assert fleet["designs"][0]["replicas"][0]["spec"] == {}
+
+    @given(
+        case=st.sampled_from(
+            [(c, k) for c, k, _, _ in WRONG_TYPES]
+            + [("fleet", _REPLICA + ("spec", "conv1")),
+               ("fleet", ("floors", 0))]
+        ),
+        value=JSON_VALUES,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_field_values_never_answer_500(self, case, value):
+        """Decoding and validation only: the handlers echo the request
+        back, so accepted values never start an evaluation."""
+        def echo(request):
+            return request
+
+        with mock.patch.multiple(
+            "repro.service.server",
+            plan=echo,
+            evaluate_fleets=echo,
+            cheapest_fleets=echo,
+        ):
+            service = PlanningService()
+        kind, keys = case
+        base = PLAN_BODY if kind == "plan" else FLEET_BODY
+        status, payload = _post(service, kind, _with(base, keys, value))
+        assert status in (200, 400, 404), payload
+        if status == 200:
+            request_cls = PlanRequest if kind == "plan" else FleetRequest
+            assert request_cls.from_dict(payload).to_dict() == payload
+
+
 class TestGoodputAccuracyFrontier:
     @staticmethod
     def _spec(routing, replicas, admission=None):
@@ -412,22 +678,8 @@ class TestGoodputAccuracyFrontier:
 
 
 class TestDeprecatedShims:
-    def test_planner_free_functions_warn_and_delegate(self):
-        from repro.core.planner import (
-            iso_accuracy_frontier,
-            min_budget_for,
-            min_deadline_for,
-        )
-
-        space = api.planning_space(PlanRequest(target=78.0, **SMALL))
-        with pytest.warns(DeprecationWarning, match="repro.api.plan"):
-            budget = min_budget_for(space, 78.0, 24 * 3600.0)
-        with pytest.warns(DeprecationWarning):
-            deadline = min_deadline_for(space, 78.0, budget.cost)
-        with pytest.warns(DeprecationWarning):
-            front = iso_accuracy_frontier(space, 78.0)
-        assert deadline.cost <= budget.cost
-        assert budget in front or front
+    """The planner's deprecated free functions are gone; the API path
+    they pointed to raises no deprecation warning."""
 
     def test_api_path_does_not_warn(self):
         with warnings.catch_warnings():

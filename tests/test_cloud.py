@@ -241,16 +241,18 @@ class TestSimulator:
         with pytest.raises(ConfigurationError, match="mismatch"):
             CloudSimulator(caffenet_time_model(), googlenet_accuracy_model())
 
-    def test_sweep_is_cross_product_and_deprecated(self, sim):
+    def test_grid_evaluation_is_the_cross_product(self, sim):
+        from repro.core.evalspace import SpaceSpec, evaluate
+
         cfgs = [
             ResourceConfiguration([CloudInstance(instance_type(n))])
             for n in ("p2.xlarge", "g3.4xlarge")
         ]
         specs = [PruneSpec.unpruned(), PruneSpec({"conv1": 0.2})]
-        with pytest.warns(DeprecationWarning, match="evalspace"):
-            results = sim.sweep(specs, cfgs, 10_000)
+        space = evaluate(SpaceSpec.from_simulator(sim, specs, cfgs, 10_000))
+        results = space.results
         assert len(results) == 4
-        # the shim delegates to the evaluation core, same row order
+        # degree-major row order, each row what the simulator computes
         expected = [
             sim.run(spec, cfg, 10_000) for spec in specs for cfg in cfgs
         ]

@@ -138,6 +138,63 @@ class TestParetoIndices:
             )
 
 
+def _scan_pareto_indices(acc, obj):
+    """The former per-point scan, kept as the reference for the kernel."""
+    acc = np.asarray(acc, dtype=float)
+    obj = np.asarray(obj, dtype=float)
+    order = np.lexsort((np.arange(acc.size), obj, -acc))
+    keep = []
+    best_obj = np.inf
+    for idx in order:
+        if obj[idx] < best_obj:
+            keep.append(int(idx))
+            best_obj = obj[idx]
+    return np.asarray(keep, dtype=np.intp)
+
+
+#: few distinct values, so ties are common; NaN and both infinities
+_EDGY = st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0, np.nan, np.inf, -np.inf]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestParetoKernel:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.1, 100),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_dominance(self, points):
+        """Finite inputs: exactly the undominated points, first of ties."""
+        acc = [p[0] for p in points]
+        obj = [p[1] for p in points]
+        expected = {
+            i
+            for i, (a, o) in enumerate(points)
+            if not any(
+                (b >= a and q <= o and (b > a or q < o))
+                or ((b, q) == (a, o) and j < i)
+                for j, (b, q) in enumerate(points)
+            )
+        }
+        assert set(pareto_indices(acc, obj).tolist()) == expected
+
+    @given(st.lists(st.tuples(_EDGY, _EDGY), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan_with_nan_inf_and_ties(self, points):
+        acc = [p[0] for p in points]
+        obj = [p[1] for p in points]
+        got = pareto_indices(acc, obj)
+        assert got.dtype == np.intp
+        assert got.tolist() == _scan_pareto_indices(acc, obj).tolist()
+
+
 class TestParetoFront:
     def test_payloads_preserved(self):
         points = [(0.9, 10.0, "a"), (0.8, 5.0, "b"), (0.7, 7.0, "c")]

@@ -5,16 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
+from repro.api import ApiError, PlanRequest
 from repro.calibration import caffenet_accuracy_model, caffenet_time_model
 from repro.cloud import CloudSimulator, P2_TYPES
 from repro.core.config_space import enumerate_configurations
-from repro.core.planner import (
-    PlanningSpace,
-    iso_accuracy_frontier,
-    min_budget_for,
-    min_deadline_for,
-)
-from repro.errors import InfeasibleError
+from repro.core.planner import PlanningSpace
 from repro.pruning import PruneSpec
 from repro.pruning.schedule import DegreeOfPruning, single_layer_sweep
 from repro.serving.workloads import (
@@ -38,43 +34,66 @@ def space():
     )
 
 
+def _plan(space, target, *, deadline_s=None, budget=None):
+    """``repro.api.plan`` over the test grid, deadline in seconds."""
+    deadline_h = None if deadline_s is None else deadline_s / 3600.0
+    request = PlanRequest(target=target, deadline_h=deadline_h, budget=budget)
+    return api.plan(request, space=space)
+
+
+def min_budget(space, target, deadline_s):
+    return _plan(space, target, deadline_s=deadline_s).best
+
+
+def min_deadline(space, target, budget):
+    return _plan(space, target, budget=budget).best
+
+
+def frontier(space, target):
+    return _plan(space, target).points
+
+
+def infeasible(match=None):
+    return pytest.raises(ApiError, match=match)
+
+
 class TestPlanner:
     def test_min_budget_meets_both_constraints(self, space):
-        result = min_budget_for(
-            space, target_accuracy=80.0, deadline_s=2 * 3600.0
-        )
-        assert result.accuracy.top5 >= 80.0
+        result = min_budget(space, 80.0, deadline_s=2 * 3600.0)
+        assert result.top5 >= 80.0
         assert result.time_s <= 2 * 3600.0
 
     def test_min_budget_is_minimal(self, space):
-        best = min_budget_for(space, 80.0, 2 * 3600.0)
+        best = min_budget(space, 80.0, 2 * 3600.0)
         for r in space.results:
             if r.accuracy.top5 >= 80.0 and r.time_s <= 2 * 3600.0:
                 assert r.cost >= best.cost - 1e-9
 
     def test_tighter_deadline_costs_more(self, space):
-        loose = min_budget_for(space, 80.0, 10 * 3600.0)
-        tight = min_budget_for(space, 80.0, 1 * 3600.0)
+        loose = min_budget(space, 80.0, 10 * 3600.0)
+        tight = min_budget(space, 80.0, 1 * 3600.0)
         assert tight.cost >= loose.cost
 
     def test_min_deadline_respects_budget(self, space):
-        result = min_deadline_for(space, 80.0, budget=30.0)
+        result = min_deadline(space, 80.0, budget=30.0)
         assert result.cost <= 30.0
-        assert result.accuracy.top5 >= 80.0
+        assert result.top5 >= 80.0
 
     def test_richer_budget_is_faster(self, space):
-        poor = min_deadline_for(space, 80.0, budget=30.0)
-        rich = min_deadline_for(space, 80.0, budget=200.0)
+        poor = min_deadline(space, 80.0, budget=30.0)
+        rich = min_deadline(space, 80.0, budget=200.0)
         assert rich.time_s <= poor.time_s
 
     def test_infeasible_raises(self, space):
-        with pytest.raises(InfeasibleError):
-            min_budget_for(space, 99.0, 3600.0)  # accuracy unreachable
-        with pytest.raises(InfeasibleError):
-            min_deadline_for(space, 80.0, budget=0.001)
+        with infeasible() as exc:
+            min_budget(space, 99.0, 3600.0)  # accuracy unreachable
+        assert exc.value.code == "infeasible"
+        with infeasible() as exc:
+            min_deadline(space, 80.0, budget=0.001)
+        assert exc.value.code == "infeasible"
 
     def test_iso_accuracy_frontier_trades_time_for_money(self, space):
-        front = iso_accuracy_frontier(space, 80.0)
+        front = frontier(space, 80.0)
         assert len(front) >= 2
         times = [r.time_s for r in front]
         costs = [r.cost for r in front]
@@ -90,44 +109,39 @@ class TestPlannerInfeasibleEdges:
     """Infeasible-target edge cases: messages, boundaries, empty sets."""
 
     def test_unreachable_target_message_names_constraint(self, space):
-        with pytest.raises(
-            InfeasibleError, match=r"99\.0% top5 within 3600s"
-        ):
-            min_budget_for(space, 99.0, 3600.0)
-        with pytest.raises(
-            InfeasibleError, match=r"99\.0% top5 within \$5\.00"
-        ):
-            min_deadline_for(space, 99.0, budget=5.0)
+        with infeasible(r"99\.0% top5 within 3600s"):
+            min_budget(space, 99.0, 3600.0)
+        with infeasible(r"99\.0% top5 within \$5\.00"):
+            min_deadline(space, 99.0, budget=5.0)
 
     def test_target_exactly_at_reachable_accuracy_is_feasible(self, space):
         target = space.reachable_accuracy()
-        result = min_budget_for(space, target, deadline_s=100 * 3600.0)
-        assert result.accuracy.top5 >= target
+        result = min_budget(space, target, deadline_s=100 * 3600.0)
+        assert result.top5 >= target
 
     def test_target_just_above_reachable_is_infeasible(self, space):
         target = space.reachable_accuracy() + 1e-6
-        with pytest.raises(InfeasibleError):
-            min_budget_for(space, target, deadline_s=100 * 3600.0)
-        with pytest.raises(InfeasibleError):
-            iso_accuracy_frontier(space, target)
+        with infeasible("no configuration"):
+            min_budget(space, target, deadline_s=100 * 3600.0)
+        with infeasible("no configuration"):
+            frontier(space, target)
 
     def test_reachable_accuracy_but_impossible_deadline(self, space):
         # the accuracy filter alone is non-empty; the deadline empties it
-        with pytest.raises(InfeasibleError):
-            min_budget_for(space, 80.0, deadline_s=1.0)
+        with infeasible("no configuration"):
+            min_budget(space, 80.0, deadline_s=1.0)
 
     def test_reachable_accuracy_but_zero_budget(self, space):
-        with pytest.raises(InfeasibleError):
-            min_deadline_for(space, 80.0, budget=0.0)
+        # a request budget must be positive: the smallest one buys nothing
+        with infeasible("no configuration"):
+            min_deadline(space, 80.0, budget=1e-9)
 
     def test_iso_frontier_unconstrained_by_time_or_money(self, space):
         # the frontier query has no (T', C') box: any reachable target
         # yields at least one point even when budgets would be absurd
-        front = iso_accuracy_frontier(space, space.reachable_accuracy())
+        front = frontier(space, space.reachable_accuracy())
         assert len(front) >= 1
-        assert all(
-            r.accuracy.top5 >= space.reachable_accuracy() for r in front
-        )
+        assert all(p.top5 >= space.reachable_accuracy() for p in front)
 
 
 class TestWorkloads:

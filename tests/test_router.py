@@ -10,8 +10,8 @@ from repro.cloud.catalog import instance_type
 from repro.cloud.configuration import ResourceConfiguration
 from repro.cloud.faults import FaultPlan, Preemption
 from repro.cloud.instance import CloudInstance
-from repro.core.planner import cheapest_fleet
-from repro.errors import ConfigurationError, InfeasibleError
+from repro.api import ApiError, select_cheapest_fleet
+from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, Tracer, scoped_observability
 from repro.obs.telemetry import SloPolicy
 from repro.pruning.base import PruneSpec
@@ -760,7 +760,7 @@ class TestCheapestFleet:
             (_replica("gold", "p2.8xlarge", PruneSpec.unpruned()),),
         )
         cheap = FleetSpec(TM, AM, (_replica("cheap"),))
-        spec, report = cheapest_fleet(
+        spec, report = select_cheapest_fleet(
             (expensive, cheap), workload, availability=0.99
         )
         assert spec is cheap
@@ -774,7 +774,7 @@ class TestCheapestFleet:
             AM,
             (_replica("gold", "p2.8xlarge", PruneSpec.unpruned()),),
         )
-        spec, report = cheapest_fleet(
+        spec, report = select_cheapest_fleet(
             (slow, fast), workload, availability=0.99, p99_s=1.0
         )
         assert spec is fast
@@ -788,10 +788,12 @@ class TestCheapestFleet:
             (_replica("a"),),
             admission=AdmissionPolicy(queue_limit=0.0),
         )
-        with pytest.raises(InfeasibleError, match="availability"):
-            cheapest_fleet((shed_all,), workload, availability=0.5)
-        with pytest.raises(InfeasibleError, match="no candidate"):
-            cheapest_fleet((), workload)
+        with pytest.raises(ApiError, match="availability") as exc:
+            select_cheapest_fleet((shed_all,), workload, availability=0.5)
+        assert exc.value.code == "infeasible"
+        with pytest.raises(ApiError, match="no candidate") as exc:
+            select_cheapest_fleet((), workload)
+        assert exc.value.code == "infeasible"
 
 
 class TestDeterminism:

@@ -9,7 +9,10 @@ cost exactly one evaluation (1 miss, N-1 hits).
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro.api import ApiError, PlanRequest, PlanningClient, clear_api_caches
 from repro.obs import MetricsRegistry, Tracer, scoped_observability
 from repro.service import PlanningServer, PlanningService
+from repro.service.server import MAX_BODY_BYTES
 
 #: a tiny grid so service tests never pay for the full catalog
 SMALL = {"catalog": ("p2.16xlarge", "p2.8xlarge"), "instances_per_type": 2}
@@ -194,6 +198,84 @@ class TestHttpServer:
         server.start()
         server.close()
         server.close()
+
+
+def _raw_exchange(server, head: bytes, timeout: float = 2.0) -> bytes:
+    """Send raw bytes; read until the server closes the connection (a
+    server that keeps waiting fails the read with a timeout)."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=timeout
+    ) as sock:
+        sock.sendall(head)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with request bytes unread
+            pass
+    return b"".join(chunks)
+
+
+class TestHttpEdge:
+    def test_kept_alive_requests_do_not_stall(self):
+        body = _body(target=78.0, deadline_h=6.0)
+        with PlanningServer(port=0) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            try:
+                conn.request("POST", "/v1/plan", body)  # warms the grid
+                assert conn.getresponse().read()
+                started = time.perf_counter()
+                for _ in range(20):
+                    conn.request("POST", "/v1/plan", body)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - started
+            finally:
+                conn.close()
+        # a delayed-ACK stall costs ~40 ms per kept-alive response
+        assert elapsed < 0.4, elapsed
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("-1", 400),
+            ("abc", 400),
+            ("1.5", 400),
+            ("", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("9" * 5000, 413),
+        ],
+        ids=["negative", "letters", "fraction", "empty", "over", "digits"],
+    )
+    def test_bad_content_length_is_refused_unread(self, length, status):
+        body = _body(target=78.0, deadline_h=6.0)
+        head = (
+            f"POST /v1/plan HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with PlanningServer(port=0) as server:
+            reply = _raw_exchange(server, head + body)
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == str(status).encode()
+        assert b"Connection: close" in rest
+        # one answer only: the unread body was not parsed as a request
+        assert reply.count(b"HTTP/1.1 ") == 1
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert error["code"] == "invalid_request"
+
+    def test_body_at_the_limit_is_read(self):
+        with PlanningServer(port=0) as server:
+            head = (
+                "POST /v1/plan HTTP/1.1\r\nHost: x\r\nConnection: close"
+                f"\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n"
+            ).encode("ascii")
+            reply = _raw_exchange(server, head + b" " * MAX_BODY_BYTES)
+        # all whitespace is not JSON: the body was read and decoded
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"not valid JSON" in reply
 
 
 class TestObservabilityRoutes:
